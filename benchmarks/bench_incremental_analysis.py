@@ -32,20 +32,16 @@ A second, **pure-DYN** scenario (TT graphs collapsed onto single nodes,
 so the whole sweep shares one schedule-cache entry) measures the
 pattern-level dominance tables against the pinned PR 3 path -- the
 workload where their per-pattern construction amortises across every
-candidate (see ``run_pure_dyn``).  The same scenario times the
-``numpy_batch`` generation: one ``AnalysisContext`` with
-``AnalysisOptions(backend="numpy")`` evaluating the whole sweep through
-``analyse_batch`` as a single lockstep array fix point, asserted
-bit-identical to the Python oracle and >= 2x faster than the warm
-Python path.
+candidate (see ``run_pure_dyn``).
 
 When the compiled ``repro._native`` extension is built, a
-``native_batch`` generation rides both scenarios
-(``AnalysisOptions(backend="native")``): on the pure-DYN sweep it must
-at least match the numpy kernels; on the **ST-heavy** Fig. 9 sweep --
-where every cycle length is a distinct schedule, so the grouped
-backends see singleton lanes and the array kernels' per-op dispatch is
-all overhead -- it must beat the warm Python path >= 2x (see
+``native_batch`` generation rides both scenarios: one
+``AnalysisContext`` with ``AnalysisOptions(backend="native")``
+evaluating the whole sweep through ``analyse_batch``, asserted
+bit-identical to the Python oracle and >= 2x faster than the warm
+Python path on the pure-DYN sweep (one group of 256 lanes) and on the
+**ST-heavy** Fig. 9 sweep, where every cycle length is a distinct
+schedule, so the grouped backend sees singleton lanes (see
 ``run_st_heavy_backends``).  Without the extension the native
 generation and its assertions are skipped with a note.
 
@@ -1445,6 +1441,22 @@ def _dominance_stats(context: AnalysisContext) -> tuple:
     return maximal, dominated
 
 
+def _native_batch_maker(system):
+    """A ``_time_interleaved`` make: a fresh native-backend context per
+    round, analysing the whole sweep in one ``analyse_batch`` call."""
+
+    def make():
+        ctx = AnalysisContext(system, AnalysisOptions(backend="native"))
+
+        def run(cfgs):
+            return ctx.analyse_batch(cfgs)
+
+        run.batched = True
+        return run
+
+    return make
+
+
 def run_pure_dyn():
     """Time the dominance kernel against the pinned PR 3 path on the
     pure-DYN sweep; cached across test functions."""
@@ -1459,47 +1471,37 @@ def run_pure_dyn():
         warm_ctx_holder.append(ctx)
         return ctx.analyse
 
-    def _make_batch(backend):
-        def make():
-            ctx = AnalysisContext(system, AnalysisOptions(backend=backend))
-
-            def run(cfgs):
-                return ctx.analyse_batch(cfgs)
-
-            run.batched = True
-            return run
-
-        return make
-
-    # Eight interleaved rounds (up from the default six): the numpy
+    # Eight interleaved rounds (up from the default six): the native
     # generation's asserted floor is a 2x ratio between two sub-100ms
     # sweeps, which needs a little more best-of convergence than the
     # few-percent pinned-reference ratios.
     makes = {
         "pr3_warm": lambda: Pr3WarmReference(system).analyse,
         "warm": _make_warm,
-        "numpy_batch": _make_batch("numpy"),
     }
-    if native_or_none() is not None:
-        makes["native_batch"] = _make_batch("native")
+    have_native = native_or_none() is not None
+    if have_native:
+        makes["native_batch"] = _native_batch_maker(system)
     timed = _time_interleaved(makes, configs, repeats=8)
     pr3_s, pr3_results = timed["pr3_warm"]
     warm_s, warm_results = timed["warm"]
-    numpy_s, numpy_results = timed["numpy_batch"]
     native_s, native_results = timed.get("native_batch", (None, None))
 
     # Correctness: the dominance path against the dominance-off oracle,
-    # and the "verify" cross-checks (dominance and backend) counting
-    # divergences in-line.
+    # and the "verify" cross-checks (dominance and, with the extension
+    # built, backend) counting divergences in-line.
     off_ctx = AnalysisContext(system, AnalysisOptions(dominance="off"))
     off_results = [off_ctx.analyse(c) for c in configs]
     verify_ctx = AnalysisContext(system, AnalysisOptions(dominance="verify"))
     for c in configs:
         verify_ctx.analyse(c)
-    backend_verify_ctx = AnalysisContext(
-        system, AnalysisOptions(backend="verify")
-    )
-    backend_verify_ctx.analyse_batch(configs)
+    backend_divergences = None
+    if have_native:
+        backend_verify_ctx = AnalysisContext(
+            system, AnalysisOptions(backend="verify")
+        )
+        backend_verify_ctx.analyse_batch(configs)
+        backend_divergences = backend_verify_ctx.backend_divergences
 
     out = {
         "system": system,
@@ -1507,18 +1509,16 @@ def run_pure_dyn():
         "seconds": {
             "pr3_warm": pr3_s,
             "warm": warm_s,
-            "numpy_batch": numpy_s,
             "native_batch": native_s,
         },
         "results": {
             "pr3_warm": pr3_results,
             "warm": warm_results,
-            "numpy_batch": numpy_results,
             "native_batch": native_results,
             "off": off_results,
         },
         "divergences": verify_ctx.dominance_divergences,
-        "backend_divergences": backend_verify_ctx.backend_divergences,
+        "backend_divergences": backend_divergences,
         "dominance_stats": _dominance_stats(warm_ctx_holder[0]),
     }
     _cache["pure_dyn"] = out
@@ -1683,7 +1683,6 @@ def test_incremental_analysis_identical_and_fast():
     pd_n = len(pure_dyn["configs"])
     pd_pr3_s = pure_dyn["seconds"]["pr3_warm"]
     pd_warm_s = pure_dyn["seconds"]["warm"]
-    pd_numpy_s = pure_dyn["seconds"]["numpy_batch"]
     pd_native_s = pure_dyn["seconds"]["native_batch"]
     pd_maximal, pd_dominated = pure_dyn["dominance_stats"]
     have_native = native_or_none() is not None
@@ -1691,7 +1690,6 @@ def test_incremental_analysis_identical_and_fast():
         st_heavy = run_st_heavy_backends()
         sh_n = len(st_heavy["configs"])
         sh_warm_s = st_heavy["seconds"]["warm"]
-        sh_numpy_s = st_heavy["seconds"]["numpy_batch"]
         sh_native_s = st_heavy["seconds"]["native_batch"]
     payload = {
         "workload": {
@@ -1737,18 +1735,13 @@ def test_incremental_analysis_identical_and_fast():
             "seconds": {
                 "pr3_warm": round(pd_pr3_s, 4),
                 "warm_context": round(pd_warm_s, 4),
-                "numpy_batch": round(pd_numpy_s, 4),
                 "native_batch": (
                     round(pd_native_s, 4) if have_native else None
                 ),
             },
             "warm_vs_pr3_warm": round(pd_pr3_s / pd_warm_s, 2),
-            "numpy_batch_vs_warm": round(pd_warm_s / pd_numpy_s, 2),
             "native_batch_vs_warm": (
                 round(pd_warm_s / pd_native_s, 2) if have_native else None
-            ),
-            "native_batch_vs_numpy": (
-                round(pd_numpy_s / pd_native_s, 2) if have_native else None
             ),
             "dominated_instants": pd_dominated,
             "maximal_instants": pd_maximal,
@@ -1762,10 +1755,8 @@ def test_incremental_analysis_identical_and_fast():
                 "sweep_points": sh_n,
                 "seconds": {
                     "warm_context": round(sh_warm_s, 4),
-                    "numpy_batch": round(sh_numpy_s, 4),
                     "native_batch": round(sh_native_s, 4),
                 },
-                "numpy_batch_vs_warm": round(sh_warm_s / sh_numpy_s, 2),
                 "native_batch_vs_warm": round(sh_warm_s / sh_native_s, 2),
             }
             if have_native
@@ -1808,15 +1799,11 @@ def test_incremental_analysis_identical_and_fast():
             f"PR 3 warm path {pd_pr3_s / pd_warm_s:.2f}x -- pattern-level "
             f"dominance elides {pd_dominated}/{pd_maximal + pd_dominated} "
             "instants once per availability",
-            f"numpy batched backend on the pure-DYN sweep: "
-            f"{pd_warm_s / pd_numpy_s:.2f}x vs the warm Python path "
-            "(one vectorized fix point, all candidates in lockstep)",
         ]
         + (
             [
                 f"native compiled backend: {pd_warm_s / pd_native_s:.2f}x "
-                f"vs warm Python on the pure-DYN sweep "
-                f"({pd_numpy_s / pd_native_s:.2f}x vs numpy); "
+                f"vs warm Python on the pure-DYN sweep (one group); "
                 f"{sh_warm_s / sh_native_s:.2f}x vs warm Python on the "
                 f"ST-heavy singleton-lane sweep ({sh_n} points)",
             ]
@@ -1875,44 +1862,14 @@ def test_dominance_amortises_on_pure_dyn_sweep():
     )
 
 
-def test_array_backend_identical_and_fast():
-    """The array backend's claim: the batched numpy sweep is
-    bit-identical to the Python oracle (signatures, wcrt dicts including
-    insertion order, costs) and >= 2x faster than the warm Python path
-    -- the PR 4-generation engine -- on the pure-DYN sweep, with the
-    in-line ``backend='verify'`` cross-check reporting zero
-    divergences."""
-    pure_dyn = run_pure_dyn()
-    off_sigs = [_signature(r) for r in pure_dyn["results"]["off"]]
-    numpy_results = pure_dyn["results"]["numpy_batch"]
-    assert [_signature(r) for r in numpy_results] == off_sigs, (
-        "numpy backend diverged from the Python oracle"
-    )
-    for py_r, np_r in zip(pure_dyn["results"]["warm"], numpy_results):
-        assert py_r.wcrt == np_r.wcrt, "wcrt values diverged"
-        assert list(py_r.wcrt) == list(np_r.wcrt), (
-            "wcrt insertion order diverged"
-        )
-        assert py_r.cost == np_r.cost, "cost breakdowns diverged"
-    assert pure_dyn["backend_divergences"] == 0, (
-        "backend='verify' caught divergences on the pure-DYN sweep"
-    )
-    warm_s = pure_dyn["seconds"]["warm"]
-    numpy_s = pure_dyn["seconds"]["numpy_batch"]
-    assert warm_s / numpy_s >= 2.0, (
-        f"numpy batched sweep only {warm_s / numpy_s:.2f}x faster than "
-        "the warm Python path on the pure-DYN sweep"
-    )
-
-
 def run_st_heavy_backends():
-    """Time warm Python vs the batched backends on the ST-heavy sweep.
+    """Time warm Python vs the native backend on the ST-heavy sweep.
 
     The Fig. 9 OBC/EE sweep sends 11 ST messages, so every cycle length
-    is a distinct schedule key: the grouped backends see **singleton
-    lanes**, the shape where the array kernels' per-op dispatch is pure
-    overhead while the compiled backend still runs each lane's whole
-    holistic fix point in C.  Cached across test functions.
+    is a distinct schedule key: the grouped backend sees **singleton
+    lanes**, where per-group lowering and dispatch are not amortised,
+    yet the compiled backend still runs each lane's whole holistic fix
+    point in C.  Cached across test functions.
     """
     if "st_heavy" in _cache:
         return _cache["st_heavy"]
@@ -1923,24 +1880,10 @@ def run_st_heavy_backends():
     for c in configs:
         warmup.analyse(c)
 
-    def _make_batch(backend):
-        def make():
-            ctx = AnalysisContext(system, AnalysisOptions(backend=backend))
-
-            def run(cfgs):
-                return ctx.analyse_batch(cfgs)
-
-            run.batched = True
-            return run
-
-        return make
-
     makes = {
         "warm": lambda: AnalysisContext(system).analyse,
-        "numpy_batch": _make_batch("numpy"),
+        "native_batch": _native_batch_maker(system),
     }
-    if native_or_none() is not None:
-        makes["native_batch"] = _make_batch("native")
     timed = _time_interleaved(makes, configs, repeats=8)
     out = {
         "system": system,
@@ -1953,10 +1896,11 @@ def run_st_heavy_backends():
 
 
 def test_native_backend_identical_and_fast():
-    """The compiled backend's claims: bit identity on both sweep shapes,
-    >= 2x over the warm Python path on the ST-heavy singleton-lane
-    sweep, and at least parity with the numpy kernels on the wide
-    pure-DYN batch (where lockstep vectorization is at its best)."""
+    """The compiled backend's claims: bit identity on both sweep shapes
+    (signatures, wcrt dicts including insertion order, costs), zero
+    in-line ``backend='verify'`` divergences, and >= 2x over the warm
+    Python path both on the ST-heavy singleton-lane sweep and on the
+    pure-DYN sweep's single wide group."""
     if native_or_none() is None:
         print(
             "bench_incremental_analysis: repro._native not built; "
@@ -1965,11 +1909,11 @@ def test_native_backend_identical_and_fast():
         return
     st_heavy = run_st_heavy_backends()
     warm_sigs = [_signature(r) for r in st_heavy["results"]["warm"]]
-    for mode in ("numpy_batch", "native_batch"):
-        sigs = [_signature(r) for r in st_heavy["results"][mode]]
-        assert sigs == warm_sigs, (
-            f"{mode} diverged from the warm Python path on the ST-heavy sweep"
-        )
+    sigs = [_signature(r) for r in st_heavy["results"]["native_batch"]]
+    assert sigs == warm_sigs, (
+        "native_batch diverged from the warm Python path on the ST-heavy "
+        "sweep"
+    )
 
     pure_dyn = run_pure_dyn()
     off_sigs = [_signature(r) for r in pure_dyn["results"]["off"]]
@@ -1994,11 +1938,11 @@ def test_native_backend_identical_and_fast():
         f"native backend only {st_warm_s / st_native_s:.2f}x faster than "
         "the warm Python path on the ST-heavy singleton-lane sweep"
     )
-    pd_numpy_s = pure_dyn["seconds"]["numpy_batch"]
+    pd_warm_s = pure_dyn["seconds"]["warm"]
     pd_native_s = pure_dyn["seconds"]["native_batch"]
-    assert pd_numpy_s / pd_native_s >= 1.0, (
-        f"native backend fell behind the numpy kernels on the pure-DYN "
-        f"sweep ({pd_numpy_s / pd_native_s:.2f}x)"
+    assert pd_warm_s / pd_native_s >= 2.0, (
+        f"native backend only {pd_warm_s / pd_native_s:.2f}x faster than "
+        "the warm Python path on the pure-DYN sweep"
     )
 
 
@@ -2054,7 +1998,6 @@ def test_optimisers_identical_serial_vs_parallel():
 if __name__ == "__main__":
     test_incremental_analysis_identical_and_fast()
     test_dominance_amortises_on_pure_dyn_sweep()
-    test_array_backend_identical_and_fast()
     test_native_backend_identical_and_fast()
     test_optimisers_identical_serial_vs_parallel()
     print("bench_incremental_analysis: all checks passed")

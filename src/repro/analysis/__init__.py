@@ -17,7 +17,7 @@ Public entry points
     trajectory (``"certified"`` default, ``"off"`` oracle, ``"seed"``
     legacy neighbour seeding, ``"verify"`` cross-check) and the
     ``backend`` field the evaluation backend (``"python"`` reference,
-    ``"numpy"`` lockstep array kernels, ``"verify"`` cross-check) --
+    ``"native"`` compiled kernels, ``"verify"`` cross-check) --
     every mode's determinism guarantee is documented on the field.
 
 The busy-window kernels (:func:`fps_task_busy_window`,

@@ -1,4 +1,4 @@
-"""Once-per-group array lowering for the numpy backend.
+"""Once-per-group array lowering for the native backend.
 
 A *group* is a set of candidate configurations sharing both the
 schedule key (identical static schedule, availability patterns and
@@ -11,11 +11,10 @@ lowered here exactly once and cached on the owning
 :class:`~repro.analysis.context.AnalysisContext`; the per-lane scalars
 (caps, ``lam``/``theta``/``sigma``/``gd_cycle`` of each DYN view) are
 cheap and resolved per batch by
-:func:`repro.analysis.backend.kernels.run_group`.
+:func:`repro.analysis.backend.native.run_group_native`.
 
 A pure-DYN sweep is one group end to end (every candidate shares the
-schedule and the FrameID assignment), which is exactly the workload the
-batched kernels are built for.  An ST-heavy sweep degenerates to
+schedule and the FrameID assignment).  An ST-heavy sweep degenerates to
 *singleton* groups -- a fresh group per cycle length -- so the lowering
 itself becomes the hot path.  Everything in an activity plan is in fact
 invariant under the **structure key alone** (interferer rows, FrameIDs,
@@ -33,15 +32,15 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.analysis.backend import numpy_or_none
+import numpy as np
 
-#: Magnitude prebound of the array kernels.  Every worst-case
-#: intermediate of an activity's vectorized fix point is bounded in
-#: unbounded Python arithmetic before the first numpy op; any activity
+#: Magnitude prebound of the compiled kernels.  Every worst-case
+#: intermediate of an activity's fix point is bounded in unbounded
+#: Python arithmetic before the C code runs; any batch with an activity
 #: whose bound reaches this limit (comfortably inside int64, leaving
-#: headroom for one addition) is evaluated on the Python kernels
-#: instead.  numpy int64 overflow wraps silently -- the prebound is what
-#: makes "exact integer dtypes" a guarantee instead of a hope.
+#: headroom for one addition) is evaluated on the Python path instead.
+#: int64 overflow wraps silently -- the prebound is what makes "exact
+#: integer dtypes" a guarantee instead of a hope.
 OVERFLOW_LIMIT = 1 << 62
 
 
@@ -52,7 +51,7 @@ def _ceil_div(a: int, b: int) -> int:
 class AvailabilityArrays:
     """Packed staircase tables of one ``NodeAvailability`` pattern.
 
-    ``stair`` is True for every pattern the vectorized FPS kernel
+    ``stair`` is True for every pattern the compiled FPS kernel
     handles: a non-degenerate pattern (some busy time, some slack) uses
     the divmod/bisect staircase over the precomputed
     ``gap_ends``/``slack_through`` prefix sums, and a fully *idle* node
@@ -61,7 +60,8 @@ class AvailabilityArrays:
     ``gap_ends = through = [period]``, so the staircase collapses to
     ``window = demand`` -- exactly the Python generic path's result).
     Only fully busy nodes (zero slack, ``advance`` returns ``None``)
-    keep ``stair`` False and take the per-lane Python fallback.
+    keep ``stair`` False, which delegates their groups to the Python
+    path.
     """
 
     __slots__ = (
@@ -70,7 +70,6 @@ class AvailabilityArrays:
     )
 
     def __init__(self, availability):
-        np = numpy_or_none()
         tables = availability.instant_advance_tables(False)
         self.slack = tables.slack_per_period
         self.period = tables.period
@@ -114,13 +113,12 @@ class DynActPlan:
 
     __slots__ = (
         "name", "kind", "pos", "row", "sender_row", "own_sensitive", "ct",
-        "lower_slots", "dyn_index", "dep_rows", "frame_id", "largest",
-        "n_hp", "all_p", "all_anc", "all_jrow", "lf_adj", "weights",
-        "all_pm1", "p_max", "has_anc", "hp_rows_py", "lf_rows_py",
-        "max_adjusted",
+        "lower_slots", "dep_rows", "frame_id", "largest", "n_hp", "all_p",
+        "all_anc", "all_jrow", "lf_adj", "p_max", "hp_rows_py",
+        "lf_rows_py", "max_adjusted",
     )
 
-    def __init__(self, np, name, pos, row, sender_row, view, name_idx,
+    def __init__(self, name, pos, row, sender_row, view, name_idx,
                  frame_id, largest):
         self.name = name
         self.kind = "dyn"
@@ -130,12 +128,11 @@ class DynActPlan:
         self.own_sensitive = view.own_sensitive
         self.ct = view.ct
         self.lower_slots = view.lower_slots
-        self.dyn_index = pos  # DYN acts come first, in dyn_messages order
         self.dep_rows = None
         # The message's FrameID and its sender node's largest DYN frame:
         # with these two group-invariant ints the per-lane view scalars
         # (``lam``/``theta``/``sigma``/``sendable``) are pure arithmetic
-        # in the lane's ``n_minislots``/``gd_cycle``, so the batched
+        # in the lane's ``n_minislots``/``gd_cycle``, so the compiled
         # kernel never has to materialise per-lane ``_DynView`` objects.
         self.frame_id = frame_id
         self.largest = largest
@@ -144,8 +141,7 @@ class DynActPlan:
         # contribute to neither ``lf_total`` nor ``lf_useful`` -- they are
         # dropped at lowering, which is exact (the Python loop adds
         # nothing for them either).  The surviving lf rows are packed
-        # *behind* the hp rows into one combined matrix, so the kernel
-        # gathers and ceils once per round and splits at ``n_hp``.
+        # *behind* the hp rows, split at ``n_hp``.
         lf = [r for r in view.lf_info if r[3] > 0]
         rows = list(hp) + lf
         self.n_hp = len(hp)
@@ -153,37 +149,18 @@ class DynActPlan:
         # adjusted size (``_dyn_views``: max over *all* lf rows, default
         # 0 -- but ``per_error`` is 1 whenever that max is <= 0, so the
         # exact Python value is preserved even though rows with
-        # adjusted <= 0 are dropped from the packed matrices below).
+        # adjusted <= 0 are dropped from the packed rows below).
         self.max_adjusted = max((r[3] for r in view.lf_info), default=0)
-        self.all_p = np.asarray(
-            [r[1] for r in rows], dtype=np.int64
-        ).reshape(-1, 1)
-        self.all_anc = np.asarray(
-            [r[2] for r in rows], dtype=bool
-        ).reshape(-1, 1)
+        self.all_p = np.asarray([r[1] for r in rows], dtype=np.int64)
+        self.all_anc = np.asarray([r[2] for r in rows], dtype=bool)
         self.all_jrow = np.asarray(
             [name_idx[r[0]] if not r[2] else 0 for r in rows],
             dtype=np.int64,
         )
-        self.lf_adj = np.asarray(
-            [r[3] for r in lf], dtype=np.int64
-        ).reshape(-1, 1)
-        # One (3, R) weight matrix turns the three per-round column sums
-        # (hp activation count, lf adjusted total, lf useful count) into
-        # a single integer matmul against the counts matrix.
-        nh, nf = len(hp), len(lf)
-        weights = np.zeros((3, nh + nf), dtype=np.int64)
-        weights[0, :nh] = 1
-        weights[1, nh:] = [r[3] for r in lf]
-        weights[2, nh:] = 1
-        self.weights = weights
-        # Ceil-division fusion: ceil(s / p) == (s + p - 1) // p for
-        # p > 0, so presumming ``p - 1`` into the frozen jitter matrix
-        # saves two array ops per fix-point round.  ``p_max`` feeds the
-        # overflow guard (the fused numerator grows by at most p - 1).
-        self.all_pm1 = self.all_p - 1
+        self.lf_adj = np.asarray([r[3] for r in lf], dtype=np.int64)
+        # ``p_max`` feeds the overflow guard: the kernel's ceil-division
+        # numerator ``s + p - 1`` grows by at most ``p - 1``.
         self.p_max = int(self.all_p.max()) if rows else 0
-        self.has_anc = bool(any(r[2] for r in rows))
         self.hp_rows_py = tuple((int(r[1]), bool(r[2])) for r in hp)
         self.lf_rows_py = tuple(
             (int(r[1]), bool(r[2]), int(r[3])) for r in lf
@@ -224,23 +201,17 @@ class FpsActPlan:
     leave the schedule-dependent slots unset; :meth:`bind` attaches a
     concrete availability pattern for one group."""
 
-    __slots__ = (
-        "name", "kind", "pos", "row", "pred_rows", "release", "wcet",
-        "own_sensitive", "plan", "node", "availability", "av", "stair",
-        "r_p", "r_c", "r_anc", "r_jrow", "r_p_col", "r_pm1_col", "p_max",
-        "has_anc", "rows_py", "dep_rows",
-    )
-
     #: Slots copied verbatim by :meth:`bind` (everything except the
-    #: availability-dependent triple set by the bind itself).
+    #: availability-dependent pair set by the bind itself).
     _SHARED_SLOTS = (
         "name", "kind", "pos", "row", "pred_rows", "release", "wcet",
-        "own_sensitive", "plan", "node",
-        "r_p", "r_c", "r_anc", "r_jrow", "r_p_col", "r_pm1_col", "p_max",
-        "has_anc", "rows_py", "dep_rows",
+        "own_sensitive", "node", "r_p", "r_c", "r_anc", "r_jrow", "p_max",
+        "rows_py", "dep_rows",
     )
 
-    def __init__(self, np, name, pos, row, pred_rows, plan, node, name_idx):
+    __slots__ = _SHARED_SLOTS + ("av", "stair")
+
+    def __init__(self, name, pos, row, pred_rows, plan, node, name_idx):
         self.name = name
         self.kind = "fps"
         self.pos = pos
@@ -249,7 +220,6 @@ class FpsActPlan:
         self.release = plan.release
         self.wcet = plan.wcet
         self.own_sensitive = plan.own_sensitive
-        self.plan = plan
         self.node = node
         info = plan.interferers
         self.r_p = np.asarray([r[1] for r in info], dtype=np.int64)
@@ -259,12 +229,7 @@ class FpsActPlan:
             [name_idx[r[0]] if not r[2] else 0 for r in info],
             dtype=np.int64,
         )
-        # Column forms plus the ceil-division fusion margin (see
-        # :class:`DynActPlan`): ceil(s / p) == (s + p - 1) // p.
-        self.r_p_col = self.r_p[:, None]
-        self.r_pm1_col = self.r_p_col - 1
         self.p_max = int(self.r_p.max()) if len(info) else 0
-        self.has_anc = bool(any(r[2] for r in info))
         self.rows_py = tuple((int(r[1]), int(r[3])) for r in info)
         self.dep_rows = None
 
@@ -272,15 +237,14 @@ class FpsActPlan:
         """A shallow copy bound to one group's availability pattern.
 
         The packed interferer arrays are shared (never mutated at run
-        time); only the availability triple is per group.  The
-        vectorized staircase kernel mirrors the Python fast path, whose
-        guard is ``gap_ends is not None and slack > 0 and wcet > 0``;
-        everything else runs the per-lane Python fallback.
+        time); only the availability pair is per group.  The compiled
+        staircase kernel mirrors the Python fast path, whose guard is
+        ``gap_ends is not None and slack > 0 and wcet > 0``; a group
+        with any other activity is delegated to the Python path.
         """
         bound = object.__new__(FpsActPlan)
         for slot in self._SHARED_SLOTS:
             setattr(bound, slot, getattr(self, slot))
-        bound.availability = availability
         bound.av = availability_arrays(availability)
         bound.stair = bound.av.stair and bound.wcet > 0
         return bound
@@ -293,7 +257,7 @@ class FpsActPlan:
         )
         av = self.av
         if not self.stair:
-            return True  # Python fallback anyway
+            return True  # the group is delegated anyway
         stair_in = av.before_max + demand_max
         window_max = (stair_in // av.slack + 1) * av.period + av.period
         return (
@@ -322,7 +286,6 @@ class StructureTemplate:
     )
 
     def __init__(self, ctx, config):
-        np = numpy_or_none()
         arts = ctx._schedule_artifacts(config)
         views = ctx._dyn_views(config)
 
@@ -365,7 +328,6 @@ class StructureTemplate:
         for view in views:
             activities.append(
                 DynActPlan(
-                    np,
                     view.name,
                     len(activities),
                     name_idx[view.name],
@@ -379,7 +341,6 @@ class StructureTemplate:
         for plan, node in fps_items:
             activities.append(
                 FpsActPlan(
-                    np,
                     plan.name,
                     len(activities),
                     name_idx[plan.name],
@@ -413,7 +374,7 @@ class StructureTemplate:
         # Cost lowering (Eq. (5)): rows and deadlines in the exact
         # iteration order of ``cost_function``.  A graph activity with
         # no response-time row would raise in the Python path; leave
-        # ``cost_rows`` unset so the kernel falls back to it.
+        # ``cost_rows`` unset so the assembly falls back to it.
         cost_names = [
             name
             for g in ctx.app.graphs
@@ -456,7 +417,7 @@ class StructureTemplate:
 
 
 class GroupPlan:
-    """All group-invariant state of one batched fix point.
+    """All group-invariant state of one batch of native fix points.
 
     Built once per (schedule key, DYN structure key) and cached on the
     context.  Construction is deliberately thin: the activity lowering
@@ -467,19 +428,15 @@ class GroupPlan:
     """
 
     __slots__ = (
-        "template", "names", "name_idx", "w0", "static_wcrt",
-        "static_max", "release_max", "activities", "n_rows",
-        "availability", "wcrt_names", "wcrt_rows", "cost_rows",
-        "deadlines", "deadline_abs_max", "fault_rows", "native_state",
+        "template", "w0", "static_max", "release_max", "activities",
+        "n_rows", "wcrt_names", "wcrt_rows", "cost_rows", "deadlines",
+        "deadline_abs_max", "fault_rows", "native_state",
     )
 
     def __init__(self, ctx, config):
-        np = numpy_or_none()
         arts = ctx._schedule_artifacts(config)
         template = ctx._structure_template(config, tuple(arts.static_wcrt))
         self.template = template
-        self.names = template.names
-        self.name_idx = template.name_idx
         self.n_rows = template.n_rows
         self.wcrt_names = template.wcrt_names
         self.wcrt_rows = template.wcrt_rows
@@ -488,8 +445,6 @@ class GroupPlan:
         self.deadline_abs_max = template.deadline_abs_max
         self.fault_rows = template.fault_rows
         self.release_max = template.release_max
-        self.static_wcrt = arts.static_wcrt
-        self.availability = arts.availability
         self.activities = [
             act if act.kind == "dyn" else act.bind(arts.availability[act.node])
             for act in template.activities

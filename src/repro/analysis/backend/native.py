@@ -1,39 +1,37 @@
 """Dispatch shim of the compiled backend (``backend="native"``).
 
-:func:`run_group_native` is the native twin of
-:func:`repro.analysis.backend.kernels.run_group`: same
-:class:`~repro.analysis.backend.arrays.GroupPlan` lowering in, same
-:func:`~repro.analysis.backend.kernels.assemble_results` out -- but the
-fix points in between run inside the ``repro._native`` C extension,
-each lane's *entire* holistic Gauss-Seidel iteration in tight scalar
-loops with no per-step dispatch (see ``src/repro/_native/nativemodule.c``
-for the transcription and its bit-identity argument).
+:func:`run_group_native` takes one
+:class:`~repro.analysis.backend.arrays.GroupPlan` lowering in and hands
+:func:`~repro.analysis.backend.kernels.assemble_results` a solved
+response-time matrix out; the fix points in between run inside the
+``repro._native`` C extension, each lane's *entire* holistic
+Gauss-Seidel iteration in tight scalar loops with no per-step dispatch
+(see ``src/repro/_native/nativemodule.c`` for the transcription and its
+bit-identity argument).
 
 The shim owns the two safety gates the C code relies on:
 
 * **structural**: every FPS activity must be on the staircase fast path
   (``FpsActPlan.stair`` -- a non-degenerate or fully idle availability
-  pattern and a positive wcet); a group containing any degenerate
-  activity is delegated wholesale to the numpy kernels, whose per-lane
-  Python fallbacks cover it.  The verdict is group-invariant, so it is
-  cached on the plan's :class:`_NativeState`.
-* **overflow**: the same per-activity magnitude prebounds as the numpy
-  backend (``overflow_safe`` in unbounded Python ints against
+  pattern and a positive wcet).  The verdict is group-invariant, so it
+  is cached on the plan's :class:`_NativeState`.
+* **overflow**: per-activity magnitude prebounds (``overflow_safe`` in
+  unbounded Python ints against
   :data:`~repro.analysis.backend.arrays.OVERFLOW_LIMIT`), evaluated per
-  batch because they depend on the lanes' caps; any unsafe activity
-  delegates the whole batch to the numpy kernels.
+  batch because they depend on the lanes' caps.
 
-Delegation always lands on the numpy path (``backend="native"`` implies
-the numpy extra -- :func:`repro.analysis.backend.require_native` checks
-both), so every group is analysed bit-identically to the Python oracle
-no matter which gate fires.
+A group that fails either gate is delegated wholesale to
+:func:`repro.analysis.backend.kernels.run_group`, the Python oracle, so
+every group is analysed bit-identically no matter which gate fires.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from repro.analysis.backend import native_or_none, numpy_or_none
+import numpy as np
+
+from repro.analysis.backend import native_or_none
 
 #: Blob header magic ("NATIV"); bumped if the layout ever changes, so a
 #: stale extension rejects new blobs instead of misreading them.
@@ -45,18 +43,18 @@ class _NativeState:
 
     __slots__ = ("structural_ok", "capsule")
 
-    def __init__(self, plan, native, np):
+    def __init__(self, plan, native):
         self.structural_ok = all(
             act.stair for act in plan.activities if act.kind == "fps"
         )
         self.capsule = (
-            native.build_plan(plan_blob(plan, np).tobytes())
+            native.build_plan(plan_blob(plan).tobytes())
             if self.structural_ok
             else None
         )
 
 
-def plan_blob(plan, np):
+def plan_blob(plan):
     """Serialize *plan* into the flat int64 blob ``build_plan`` parses.
 
     Layout (every field one int64, in order)::
@@ -129,10 +127,10 @@ def _acts_section(activities, av_index):
         ]
         out += deps
         if act.kind == "dyn":
-            ps = act.all_p[:, 0].tolist()
-            ancs = act.all_anc[:, 0].tolist()
+            ps = act.all_p.tolist()
+            ancs = act.all_anc.tolist()
             jrows = act.all_jrow.tolist()
-            adjs = act.lf_adj[:, 0].tolist()
+            adjs = act.lf_adj.tolist()
             n_hp = act.n_hp
             n_lf = len(ps) - n_hp
             out += [
@@ -174,12 +172,10 @@ def _acts_section(activities, av_index):
 
 
 def _batch_overflow_safe(ctx, plan, configs, cap_max, ms_len) -> bool:
-    """The numpy backend's per-activity prebounds, whole-batch verdict.
+    """Every activity's overflow prebound, as one whole-batch verdict.
 
-    Mirrors ``_GroupRun.__init__``'s ``vec`` computation in plain Python
-    ints (deliberately no numpy: the maxima are over a handful of lane
-    scalars).  ``False`` delegates the batch to the numpy kernels,
-    whose per-activity fallbacks handle the unsafe pieces per lane.
+    Plain Python ints (the maxima are over a handful of lane scalars).
+    ``False`` delegates the batch to the Python oracle.
     """
     jitter_bound = max(cap_max, plan.static_max, plan.release_max)
     fault_k = ctx._fault_k
@@ -230,20 +226,18 @@ def _batch_overflow_safe(ctx, plan, configs, cap_max, ms_len) -> bool:
 
 
 def run_group_native(ctx, plan, configs) -> List:
-    """Analyse one group on the C kernels (numpy fallback when unsafe).
+    """Analyse one group on the C kernels (Python oracle when unsafe).
 
-    Same contract as :func:`repro.analysis.backend.kernels.run_group`:
-    all *configs* share *plan*'s schedule and structure keys, and the
+    All *configs* share *plan*'s schedule and structure keys, and the
     returned :class:`~repro.analysis.holistic.AnalysisResult` list is
     bit-identical to the per-candidate Python path.
     """
     from repro.analysis.backend.kernels import assemble_results, run_group
 
-    np = numpy_or_none()
     native = native_or_none()
     state = plan.native_state
     if state is None:
-        state = _NativeState(plan, native, np)
+        state = _NativeState(plan, native)
         plan.native_state = state
     options = ctx.options
     cap_base = ctx._cap_base

@@ -174,7 +174,7 @@ class AnalysisContext:
             )
         # Fail at the one place the backend was chosen, not deep inside
         # an analysis -- the registry knows each backend's optional
-        # extra (numpy -> repro[numpy], native -> repro[native]).
+        # extra ("native" and "verify" -> repro[native]).
         from repro.analysis.backend import require_backend
 
         require_backend(self.options.backend)
@@ -207,11 +207,10 @@ class AnalysisContext:
         #: :attr:`warm_start_divergences`).
         self.dominance_divergences = 0
         #: Divergences caught by the ``backend="verify"`` debug mode:
-        #: analyses where an accelerated backend (the numpy array
-        #: kernels, and the compiled native kernels when the extension
-        #: is importable) produced a different result than the Python
-        #: oracle (contractually always 0 -- the counter exists so
-        #: tests and debug sweeps can assert exactly that).
+        #: analyses where the compiled native kernels produced a
+        #: different result than the Python oracle (contractually
+        #: always 0 -- the counter exists so tests and debug sweeps can
+        #: assert exactly that).
         self.backend_divergences = 0
         #: Last converged solution, seeding the legacy neighbour outer
         #: warm start (``warm_start="seed"`` only).
@@ -305,7 +304,7 @@ class AnalysisContext:
         #: of (system, configuration), so each distinct configuration is
         #: validated once.
         self._valid_cache: OrderedDict = OrderedDict()
-        #: Lowered array plans of the accelerated backends, keyed by
+        #: Lowered array plans of the native backend, keyed by
         #: (schedule key, DYN structure key); rides the same LRU bound
         #: as the schedule cache whose artifacts it packs.
         self._backend_plans: OrderedDict = OrderedDict()
@@ -577,7 +576,7 @@ class AnalysisContext:
         return deps
 
     def _structure_template(self, config: FlexRayConfig, static_names):
-        """The backends' structure-invariant activity lowering, cached.
+        """The native backend's structure-invariant activity lowering, cached.
 
         Keyed by the structure key plus the static-name insertion order
         (the template's row layout leads with it; in practice the order
@@ -713,10 +712,10 @@ class AnalysisContext:
 
         The batch entry point of :meth:`Evaluator.analyse_many
         <repro.core.search.Evaluator>`: with ``backend="python"`` it is
-        exactly the per-candidate loop; with ``backend="numpy"`` the
+        exactly the per-candidate loop; with ``backend="native"`` the
         feasible candidates are grouped by (schedule key, DYN structure
-        key) and each group's busy-window fix points advance in lockstep
-        (:func:`repro.analysis.backend.kernels.run_group`);
+        key) and each group's fix points run in the compiled kernels
+        (:func:`repro.analysis.backend.native.run_group_native`);
         ``backend="verify"`` runs both, counts mismatches in
         :attr:`backend_divergences` and returns the Python results.
         Result lists are ordered like *configs* and bit-identical across
@@ -725,26 +724,18 @@ class AnalysisContext:
         backend = self.options.backend
         if backend == "python":
             return [self._analyse_python(c) for c in configs]
-        if backend == "numpy":
-            return self._analyse_array_batch(configs)
         if backend == "native":
             return self._analyse_native_batch(configs)
-        # "verify": the Python oracle versus every available accelerated
-        # backend, mismatches counted per (analysis, backend) pair.
-        from repro.analysis.backend import native_or_none
-
+        # "verify": the Python oracle versus the native kernels.
         python_results = [self._analyse_python(c) for c in configs]
-        accelerated = [self._analyse_array_batch(configs)]
-        if native_or_none() is not None:
-            accelerated.append(self._analyse_native_batch(configs))
-        for fast_results in accelerated:
-            for fast_result, python_result in zip(
-                fast_results, python_results
-            ):
-                if self._result_signature(
-                    fast_result
-                ) != self._result_signature(python_result):
-                    self.backend_divergences += 1
+        native_results = self._analyse_native_batch(configs)
+        for native_result, python_result in zip(
+            native_results, python_results
+        ):
+            if self._result_signature(
+                native_result
+            ) != self._result_signature(python_result):
+                self.backend_divergences += 1
         return python_results
 
     @staticmethod
@@ -764,8 +755,8 @@ class AnalysisContext:
 
         Oracle/debug modes (``warm_start != "certified"``,
         ``dominance="verify"``, ``dyn_fill_strategy="exact"``) exist to
-        exercise the reference semantics, so the accelerated backends
-        stand down for them entirely.
+        exercise the reference semantics, so the native backend stands
+        down for them entirely.
         """
         options = self.options
         return (
@@ -774,24 +765,16 @@ class AnalysisContext:
             or options.dyn_fill_strategy != "bound"
         )
 
-    def _analyse_array_batch(self, configs) -> list:
-        """The numpy path of :meth:`analyse_batch` (ordered like input)."""
-        from repro.analysis.backend import numpy_or_none
-
-        if numpy_or_none() is None or self._backend_gated():
-            return [self._analyse_python(c) for c in configs]
-        from repro.analysis.backend.kernels import run_group
-
-        return self._analyse_grouped_batch(configs, run_group)
-
     def _analyse_native_batch(self, configs) -> list:
         """The compiled-kernel path of :meth:`analyse_batch`.
 
-        Same grouping and gating as the numpy path; each group runs
+        Candidates are grouped by (schedule key, DYN structure key), the
+        per-group :class:`~repro.analysis.backend.arrays.GroupPlan`
+        lowering is cached on the context, and infeasible candidates
+        short-circuit exactly like the Python path.  Each group runs
         through :func:`repro.analysis.backend.native.run_group_native`,
         which delegates structurally unsafe or overflow-flagged groups
-        back to the numpy kernels (whose per-activity Python fallbacks
-        close the exactness loop).
+        to the Python oracle.
         """
         from repro.analysis.backend import native_or_none, numpy_or_none
 
@@ -801,21 +784,8 @@ class AnalysisContext:
             or self._backend_gated()
         ):
             return [self._analyse_python(c) for c in configs]
-        from repro.analysis.backend.native import run_group_native
-
-        return self._analyse_grouped_batch(configs, run_group_native)
-
-    def _analyse_grouped_batch(self, configs, run_fn) -> list:
-        """Group feasible candidates and run each group on *run_fn*.
-
-        Shared by the numpy and native backends: candidates are grouped
-        by (schedule key, DYN structure key), the per-group
-        :class:`~repro.analysis.backend.arrays.GroupPlan` lowering is
-        cached on the context (both backends consume the same plans),
-        and infeasible candidates short-circuit exactly like the Python
-        path.
-        """
         from repro.analysis.backend.arrays import GroupPlan
+        from repro.analysis.backend.native import run_group_native
         from repro.analysis.holistic import _infeasible
 
         results = [None] * len(configs)
@@ -841,7 +811,8 @@ class AnalysisContext:
             else:
                 self._backend_plans.move_to_end(key)
             for i, result in zip(
-                indices, run_fn(self, plan, [configs[i] for i in indices])
+                indices,
+                run_group_native(self, plan, [configs[i] for i in indices]),
             ):
                 results[i] = result
         return results

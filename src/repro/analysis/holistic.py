@@ -121,37 +121,27 @@ class AnalysisOptions:
     #:
     #: * ``"python"`` (default) -- the pure-Python kernels; the
     #:   reference semantics every other backend is checked against.
-    #: * ``"numpy"`` -- the array backend
+    #: * ``"native"`` -- the compiled backend
     #:   (:mod:`repro.analysis.backend`): the per-system invariants are
-    #:   lowered into packed int64 arrays once per (schedule, frame
-    #:   structure) group and whole candidate batches advance their
-    #:   busy-window fix points in lockstep under convergence masks.
-    #:   Results are bit-identical to ``"python"`` by contract: exact
-    #:   integer dtypes throughout, a per-activity overflow guard that
-    #:   falls back to the Python kernels whenever an intermediate
-    #:   could leave int64, and Python fallbacks for the oracle/debug
-    #:   modes (``warm_start != "certified"``, ``dominance="verify"``,
-    #:   ``dyn_fill_strategy="exact"``) whose whole point is staying on
-    #:   the reference path.  Selecting it without numpy installed
-    #:   raises a :class:`RuntimeError` naming the ``repro[numpy]``
-    #:   extra.
-    #: * ``"native"`` -- the compiled backend: the same lowered plans
-    #:   are packed into a flat blob and each candidate's *entire*
-    #:   holistic fix point runs in tight scalar C loops inside the
-    #:   ``repro._native`` extension (built by the ``repro[native]``
-    #:   extra), with no per-step dispatch at all -- including the
-    #:   singleton-lane groups the array kernels stand down on.  Same
-    #:   bit-identity contract and the same Python fallbacks for the
-    #:   oracle/debug modes; overflow-flagged or structurally unsafe
-    #:   groups delegate to the numpy kernels.  Selecting it without
-    #:   the compiled module raises a :class:`RuntimeError` naming the
-    #:   ``repro[native]`` extra.
+    #:   lowered into packed int64 plans once per (schedule, frame
+    #:   structure) group and each candidate's *entire* holistic fix
+    #:   point runs in tight scalar C loops inside the ``repro._native``
+    #:   extension (built by the ``repro[native]`` extra), with no
+    #:   per-step dispatch.  Results are bit-identical to ``"python"``
+    #:   by contract: exact integer dtypes throughout, a per-activity
+    #:   overflow guard and a structural guard that delegate a group to
+    #:   the Python oracle whenever the C kernels could leave int64 or
+    #:   meet a degenerate availability pattern, and Python fallbacks
+    #:   for the oracle/debug modes (``warm_start != "certified"``,
+    #:   ``dominance="verify"``, ``dyn_fill_strategy="exact"``) whose
+    #:   whole point is staying on the reference path.  Selecting it
+    #:   without the compiled module or numpy raises a
+    #:   :class:`RuntimeError` naming the ``repro[native]`` extra.
     #: * ``"verify"`` -- debug mode: run every analysis on the Python
-    #:   oracle plus every available accelerated backend, count
-    #:   divergences on the owning
-    #:   :class:`~repro.analysis.context.AnalysisContext`
+    #:   oracle and on the native kernels, count divergences on the
+    #:   owning :class:`~repro.analysis.context.AnalysisContext`
     #:   (``backend_divergences``, contractually always 0) and return
-    #:   the Python result.
+    #:   the Python result.  Needs the same extra as ``"native"``.
     backend: str = "python"
     #: k-error fault hypothesis: ``None`` (default) analyses the clean
     #: channel; an integer ``k >= 0`` charges up to *k* corrupted
@@ -162,8 +152,8 @@ class AnalysisOptions:
     #: frame instances at the worst per-error cycle cost.  The result is
     #: a *pessimistic* upper bound on any run with at most k channel
     #: errors (fuzz-verified against the fault-injecting simulator).
-    #: ``k=0`` is bit-identical to ``None``.  All backends implement the
-    #: hypothesis natively: the accelerated kernels charge the static
+    #: ``k=0`` is bit-identical to ``None``.  Both backends implement the
+    #: hypothesis natively: the compiled kernels charge the static
     #: ``k * gd_cycle`` slips and the constant per-error DYN extra
     #: cycles inside the lowered plans, bit-identically to the Python
     #: kernels.

@@ -57,6 +57,14 @@ SERVICE_FORMAT_VERSION = 1
 #: offer ways to get the same answers slower.
 ANALYSIS_OPTION_FIELDS = ("backend", "fault_hypothesis")
 
+#: Backends earlier versions could store in a document, mapped to the
+#: current backend with the same results.  The retired ``"numpy"`` array
+#: backend was pinned bit-identical to the Python oracle, so fabric
+#: manifests and service envelopes that name it stay readable and keep
+#: their results (campaign checkpoints store only an options
+#: fingerprint, which already normalises every backend to ``"python"``).
+RETIRED_BACKENDS = {"numpy": "python"}
+
 
 #: Field order of one encoded search-trace point (kept compact because
 #: OBC/EE traces reach thousands of points per campaign job).
@@ -468,7 +476,8 @@ def analysis_options_from_dict(
 
     Unknown keys are rejected rather than ignored: a client asking for
     an option this schema does not carry should learn so from the
-    error, not from silently-default behaviour.
+    error, not from silently-default behaviour.  A retired backend name
+    is mapped through :data:`RETIRED_BACKENDS`.
     """
     if data is None:
         return AnalysisOptions()
@@ -482,7 +491,15 @@ def analysis_options_from_dict(
             f"unknown analysis option(s) {sorted(unknown)}; "
             f"this schema carries {list(ANALYSIS_OPTION_FIELDS)}"
         )
-    return AnalysisOptions(**data)
+    return AnalysisOptions(**_current_backend(data))
+
+
+def _current_backend(data: Dict[str, Any]) -> Dict[str, Any]:
+    """*data* with a retired ``"backend"`` mapped to its current name."""
+    backend = data.get("backend")
+    if isinstance(backend, str) and backend in RETIRED_BACKENDS:
+        data = {**data, "backend": RETIRED_BACKENDS[backend]}
+    return data
 
 
 # ----------------------------------------------------------------------
@@ -553,7 +570,9 @@ def bus_options_from_dict(data: Optional[Dict[str, Any]]):
 
     ``None`` stays ``None`` (strategy options treat an absent bus record
     as "library defaults"), mirroring
-    :meth:`repro.core.strategies.StrategyOptions.bus_options`.
+    :meth:`repro.core.strategies.StrategyOptions.bus_options`.  The
+    nested analysis record maps a retired backend name exactly like
+    :func:`analysis_options_from_dict`.
     """
     from repro.analysis.scheduler import ScheduleOptions
     from repro.core.search import BusOptimisationOptions
@@ -573,7 +592,10 @@ def bus_options_from_dict(data: Optional[Dict[str, Any]]):
         ScheduleOptions, analysis_doc.pop("schedule", None) or {}
     )
     analysis = _dataclass_from_scalars(
-        AnalysisOptions, analysis_doc, skip=("schedule",), schedule=schedule
+        AnalysisOptions,
+        _current_backend(analysis_doc),
+        skip=("schedule",),
+        schedule=schedule,
     )
     return _dataclass_from_scalars(
         BusOptimisationOptions, doc, skip=("analysis",), analysis=analysis

@@ -1,25 +1,28 @@
-"""The accelerated backend contract: bit identity, verify mode, extras.
+"""The compiled backend contract: bit identity, verify mode, the extra.
 
-``AnalysisOptions.backend="numpy"`` lowers each system's invariants
-into packed arrays once and advances whole batches of busy-window fix
-points in lockstep; ``backend="native"`` runs the same lowered plans
-inside the compiled ``repro._native`` C extension
-(:mod:`repro.analysis.backend`).  Their *entire* contract is "same
+``AnalysisOptions.backend="native"`` lowers each system's invariants
+into packed int64 plans once per group and runs every candidate's
+holistic fix point inside the compiled ``repro._native`` C extension
+(:mod:`repro.analysis.backend`).  Its *entire* contract is "same
 answers, faster": these tests pin bit identity with the Python oracle
 at every observable level -- full analysis results over fuzzed systems
 (including fault hypotheses ``k in {0, 1, 2}``) and every
-``warm_start`` x ``dominance`` mode, the ``"verify"`` cross-check
-counter, optimiser traces with their evaluation and cache-hit
-accounting, and the pre-refactor legacy trace fixtures byte-for-byte
--- plus the packaging contract: each accelerator is an optional extra
-(``repro[numpy]`` / ``repro[native]``), selecting a backend without
-its extra is an eager, actionable ``RuntimeError``, and these tests
-*skip* (not fail) on an interpreter missing the extra (native tests
-carry the ``native`` pytest marker for CI selection).
+``warm_start`` x ``dominance`` mode, the delegation of unsafe groups to
+the oracle, the ``"verify"`` cross-check counter, optimiser traces with
+their evaluation and cache-hit accounting, and the pre-refactor legacy
+trace fixtures byte-for-byte -- plus the packaging contract: the
+backend is the optional ``repro[native]`` extra, selecting it without
+the extra is an eager, actionable ``RuntimeError``, numpy is loaded
+only on the native path, stored documents naming the retired
+``"numpy"`` backend stay readable, and the native tests *skip* (not
+fail) on an interpreter without the extension (they carry the
+``native`` pytest marker for CI selection).
 """
 
 import json
 import os
+import subprocess
+import sys
 import time
 
 import hypothesis.strategies as st
@@ -27,7 +30,12 @@ import pytest
 from hypothesis import given, settings
 
 from repro.analysis import AnalysisContext
-from repro.analysis.backend import native_or_none, numpy_or_none
+from repro.analysis.backend import (
+    BACKEND_MODES,
+    BACKEND_REGISTRY,
+    native_or_none,
+    numpy_or_none,
+)
 from repro.analysis.holistic import (
     AnalysisOptions,
     DOMINANCE_MODES,
@@ -48,7 +56,13 @@ from repro.core.search import (
 )
 from repro.core.strategies import StrategyOptions
 from repro.errors import ConfigurationError
-from repro.io.serialization import analysis_result_to_dict, result_to_dict
+from repro.io.serialization import (
+    analysis_options_from_dict,
+    analysis_result_to_dict,
+    bus_options_from_dict,
+    bus_options_to_dict,
+    result_to_dict,
+)
 from repro.model import (
     Application,
     Message,
@@ -62,11 +76,6 @@ from repro.model import (
 from tests.fixtures.legacy_cases import LEGACY_CASES
 from tests.test_properties import small_system
 from tests.util import fig3_system, fig4_system
-
-requires_numpy = pytest.mark.skipif(
-    numpy_or_none() is None,
-    reason="numpy backend tests need the repro[numpy] extra",
-)
 
 requires_native = pytest.mark.skipif(
     native_or_none() is None or numpy_or_none() is None,
@@ -92,32 +101,56 @@ def _result_docs(results):
 
 
 # ----------------------------------------------------------------------
-# the repro[numpy] extra
+# numpy: an optional dependency of the native path only
 # ----------------------------------------------------------------------
 class TestNumpyExtra:
-    def test_numpy_backend_without_numpy_is_actionable(self, monkeypatch):
-        """Selecting the array backend on a numpy-less interpreter fails
-        eagerly -- at context construction, where the backend was chosen
-        -- with an error naming the ``repro[numpy]`` extra."""
-        monkeypatch.setattr("repro.analysis.backend._numpy", None)
-        for backend in ("numpy", "verify"):
-            with pytest.raises(RuntimeError) as exc:
-                AnalysisContext(
-                    fig3_system(), AnalysisOptions(backend=backend)
-                )
-            assert "repro[numpy]" in str(exc.value)
-            assert "pip install" in str(exc.value)
-
     def test_python_backend_needs_no_numpy(self, monkeypatch):
-        monkeypatch.setattr("repro.analysis.backend._numpy", None)
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        assert numpy_or_none() is None
         system = fig3_system()
         context = AnalysisContext(system, AnalysisOptions(backend="python"))
         result = context.analyse(_sweep_configs(system, 1)[0])
         assert result.feasible
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            AnalysisContext(fig3_system(), AnalysisOptions(backend="cuda"))
+        """Unknown names -- including the retired ``"numpy"`` backend --
+        are rejected with the registry's list of choices."""
+        assert BACKEND_MODES == ("python", "native", "verify")
+        for backend in ("cuda", "numpy"):
+            with pytest.raises(ConfigurationError) as exc:
+                AnalysisContext(
+                    fig3_system(), AnalysisOptions(backend=backend)
+                )
+            for name in BACKEND_REGISTRY:
+                assert f'"{name}"' in str(exc.value)
+
+    def test_library_import_loads_no_numpy(self):
+        """numpy is imported on the native path only: importing the
+        library, the CLI (parser and ``--backend`` help included) and the
+        fabric, and analysing on the Python backend, leave it unloaded."""
+        code = (
+            "import sys\n"
+            "import repro.cli, repro.core, repro.core.fabric\n"
+            "from repro.analysis import analyse_system\n"
+            "from tests.util import basic_config, fig3_system\n"
+            "repro.cli.build_parser().format_help()\n"
+            "assert analyse_system(fig3_system(), basic_config()).feasible\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(root, "src"), root]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=root,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 # ----------------------------------------------------------------------
@@ -127,95 +160,45 @@ class TestNativeExtra:
     def test_native_backend_without_extension_is_actionable(
         self, monkeypatch
     ):
-        """Selecting the compiled backend on a build that never produced
-        the extension fails eagerly -- at context construction -- with
-        an error naming the ``repro[native]`` extra."""
+        """Selecting the compiled backend (or ``"verify"``, which
+        cross-checks it) on a build that never produced the extension
+        fails eagerly -- at context construction -- with an error naming
+        the ``repro[native]`` extra."""
         monkeypatch.setattr("repro.analysis.backend._native_module", None)
-        with pytest.raises(RuntimeError) as exc:
-            AnalysisContext(fig3_system(), AnalysisOptions(backend="native"))
-        assert "repro[native]" in str(exc.value)
-        assert "pip install" in str(exc.value)
+        for backend in ("native", "verify"):
+            with pytest.raises(RuntimeError) as exc:
+                AnalysisContext(
+                    fig3_system(), AnalysisOptions(backend=backend)
+                )
+            assert "repro[native]" in str(exc.value)
+            assert "pip install" in str(exc.value)
 
     @requires_native
     def test_native_backend_without_numpy_is_actionable(self, monkeypatch):
         """The native shim stages plans and buffers via numpy, so the
-        extension alone is not enough: a numpy-less interpreter gets the
-        numpy extra's error, still eagerly."""
-        monkeypatch.setattr("repro.analysis.backend._numpy", None)
-        with pytest.raises(RuntimeError) as exc:
-            AnalysisContext(fig3_system(), AnalysisOptions(backend="native"))
-        assert "repro[numpy]" in str(exc.value)
+        extension alone is not enough: a numpy-less interpreter gets an
+        error naming numpy and the extra, still eagerly -- for
+        ``"verify"`` too, which cross-checks the native kernels."""
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        for backend in ("native", "verify"):
+            with pytest.raises(RuntimeError) as exc:
+                AnalysisContext(
+                    fig3_system(), AnalysisOptions(backend=backend)
+                )
+            assert "numpy" in str(exc.value)
+            assert "repro[native]" in str(exc.value)
 
 
 # ----------------------------------------------------------------------
 # bit identity with the Python oracle
 # ----------------------------------------------------------------------
-@requires_numpy
-class TestBitIdentity:
-    @given(small_system(), st.integers(3, 9), st.sampled_from((0, 1, 2)))
-    @settings(max_examples=25, deadline=None)
-    def test_numpy_matches_python_on_random_systems(
-        self, system, points, fault_k
-    ):
-        """Fuzzed systems, full-result identity: every field the
-        serializer covers (wcrt in insertion order included), plus the
-        result-list order of the batch -- under every fault hypothesis
-        ``k in {0, 1, 2}``, which the array backend now computes
-        natively instead of falling back."""
-        configs = _sweep_configs(system, points)
-        python = AnalysisContext(
-            system, AnalysisOptions(fault_hypothesis=fault_k)
-        ).analyse_batch(configs)
-        numpy_ = AnalysisContext(
-            system,
-            AnalysisOptions(backend="numpy", fault_hypothesis=fault_k),
-        ).analyse_batch(configs)
-        assert _result_docs(numpy_) == _result_docs(python)
-
-    @pytest.mark.parametrize("warm_start", WARM_START_MODES)
-    @pytest.mark.parametrize("dominance", DOMINANCE_MODES)
-    def test_numpy_matches_python_in_every_mode(self, warm_start, dominance):
-        """Every warm_start x dominance combination answers identically
-        across backends.  (Oracle/debug modes run the Python path inside
-        the array backend by design -- this pins that the *contract*
-        holds whatever the mode routes to.)"""
-        system = fig4_system()
-        configs = _sweep_configs(system, 6)
-        results = {}
-        for backend in ("python", "numpy"):
-            options = AnalysisOptions(
-                backend=backend, warm_start=warm_start, dominance=dominance
-            )
-            context = AnalysisContext(system, options)
-            results[backend] = context.analyse_batch(configs)
-            assert context.warm_start_divergences == 0
-            assert context.dominance_divergences == 0
-        assert _result_docs(results["numpy"]) == _result_docs(
-            results["python"]
-        )
-
-    @given(small_system())
-    @settings(max_examples=15, deadline=None)
-    def test_verify_mode_counts_zero_divergences(self, system):
-        """``backend="verify"`` runs both backends per analysis and
-        counts mismatches -- contractually always zero."""
-        configs = _sweep_configs(system, 5)
-        context = AnalysisContext(system, AnalysisOptions(backend="verify"))
-        verified = context.analyse_batch(configs)
-        assert context.backend_divergences == 0
-        python = AnalysisContext(system).analyse_batch(configs)
-        assert _result_docs(verified) == _result_docs(python)
-
-
 @requires_native
 @pytest.mark.native
 class TestNativeBitIdentity:
-    """The compiled backend under the numpy battery's microscope.
+    """The compiled backend against the Python oracle.
 
-    Same oracle, same observables: fuzzed systems (with fault
-    hypotheses), every mode combination, and the verify counter -- which
-    on a native-enabled build cross-checks python vs numpy *and* python
-    vs native per analysis.
+    Fuzzed systems (with fault hypotheses), every mode combination, the
+    delegation of unsafe groups, and the verify counter.
     """
 
     @given(small_system(), st.integers(3, 9), st.sampled_from((0, 1, 2)))
@@ -254,10 +237,46 @@ class TestNativeBitIdentity:
             results["python"]
         )
 
+    def test_delegated_groups_match_python(self, monkeypatch):
+        """A batch that fails the shim's overflow gate is delegated
+        wholesale to the Python oracle (``kernels.run_group``): forcing
+        the gate shut on every batch must give the oracle's results --
+        under a fault hypothesis too -- without ever entering C."""
+        import repro.analysis.backend.kernels as kernels
+        import repro.analysis.backend.native as native_shim
+
+        delegated = []
+        run_group = kernels.run_group
+
+        def counting_run_group(ctx, plan, configs):
+            delegated.append(len(configs))
+            return run_group(ctx, plan, configs)
+
+        def no_kernel(*args):
+            raise AssertionError("the C kernel ran on a delegated batch")
+
+        monkeypatch.setattr(
+            native_shim, "_batch_overflow_safe", lambda *args: False
+        )
+        monkeypatch.setattr(kernels, "run_group", counting_run_group)
+        monkeypatch.setattr(native_or_none(), "run_batch", no_kernel)
+        system = fig4_system()
+        configs = _sweep_configs(system, 8)
+        for fault_k in (None, 2):
+            python = AnalysisContext(
+                system, AnalysisOptions(fault_hypothesis=fault_k)
+            ).analyse_batch(configs)
+            native = AnalysisContext(
+                system,
+                AnalysisOptions(backend="native", fault_hypothesis=fault_k),
+            ).analyse_batch(configs)
+            assert _result_docs(native) == _result_docs(python)
+        assert sum(delegated) == 2 * sum(r.feasible for r in python)
+
     def test_verify_mode_cross_checks_native_with_zero_divergences(self):
-        """On a native-enabled build ``backend="verify"`` compares the
-        Python oracle against *both* accelerated backends per analysis;
-        the counter is contractually zero."""
+        """``backend="verify"`` compares the Python oracle against the
+        native kernels per analysis; the counter is contractually
+        zero."""
         system = fig4_system()
         configs = _sweep_configs(system, 8)
         context = AnalysisContext(system, AnalysisOptions(backend="verify"))
@@ -270,30 +289,30 @@ class TestNativeBitIdentity:
 # ----------------------------------------------------------------------
 # optimiser-level identity: traces, evaluations, cache hits
 # ----------------------------------------------------------------------
-def _numpy_bus(**kw) -> BusOptimisationOptions:
-    return BusOptimisationOptions(
-        analysis=AnalysisOptions(backend="numpy"), **kw
-    )
-
-
 def _native_bus(**kw) -> BusOptimisationOptions:
     return BusOptimisationOptions(
         analysis=AnalysisOptions(backend="native"), **kw
     )
 
 
-@requires_numpy
 def test_optimiser_trace_and_cache_accounting_identical():
     """A full search run is byte-identical across backends: same trace
     (points and estimates, in order), same exact-evaluation count, same
-    cache-hit count, same best configuration and cost."""
+    cache-hit count, same best configuration and cost -- on every
+    registered backend this interpreter can run (``"native"`` and
+    ``"verify"`` need the compiled extension)."""
     system = fig4_system()
-    python = result_to_dict(optimise_obc(system, method="curvefit"))
-    numpy_ = result_to_dict(
-        optimise_obc(system, _numpy_bus(), method="curvefit")
-    )
-    python["elapsed_seconds"] = numpy_["elapsed_seconds"] = 0.0
-    assert numpy_ == python
+    oracle = result_to_dict(optimise_obc(system, method="curvefit"))
+    oracle["elapsed_seconds"] = 0.0
+    for backend, spec in BACKEND_REGISTRY.items():
+        if not spec["available"]():
+            continue
+        bus = BusOptimisationOptions(
+            analysis=AnalysisOptions(backend=backend)
+        )
+        got = result_to_dict(optimise_obc(system, bus, method="curvefit"))
+        got["elapsed_seconds"] = 0.0
+        assert got == oracle, f"{backend}: optimiser run diverged"
 
 
 def _legacy_fixture(case_id: str) -> dict:
@@ -306,7 +325,7 @@ def _legacy_fixture(case_id: str) -> dict:
 
 
 def _legacy_backend_cases(backend):
-    """Legacy cases re-run on an accelerated backend: every strategy
+    """Legacy cases re-run on another backend: every strategy
     that takes plain ``BusOptimisationOptions`` (SA/GA ride the same
     evaluator, and are covered at the pinned-options level by
     test_legacy_equivalence)."""
@@ -344,7 +363,6 @@ def _legacy_backend_cases(backend):
     )
 
 
-NUMPY_LEGACY_CASES = _legacy_backend_cases("numpy")
 NATIVE_LEGACY_CASES = _legacy_backend_cases("native")
 
 
@@ -352,23 +370,6 @@ def _paper3_case(bus, method):
     from repro.synth import paper_suite
 
     return optimise_obc(paper_suite(3, count=1, seed=23)[0], bus, method)
-
-
-@requires_numpy
-@pytest.mark.parametrize(
-    "case_id,run", NUMPY_LEGACY_CASES, ids=[c[0] for c in NUMPY_LEGACY_CASES]
-)
-def test_legacy_traces_identical_under_numpy_backend(case_id, run):
-    """The pre-refactor oracle fixtures, generated on the pure-Python
-    implementations, are reproduced byte-for-byte by the array backend."""
-    expected = _legacy_fixture(case_id)
-    got = result_to_dict(run())
-    got["elapsed_seconds"] = 0.0
-    expected.setdefault("stop_reason", None)
-    assert got["trace"] == expected["trace"], (
-        f"{case_id}: numpy-backend search trace diverged from the oracle"
-    )
-    assert got == expected
 
 
 @requires_native
@@ -407,7 +408,7 @@ def test_backend_excluded_from_campaign_fingerprint():
                 )
             )
         )
-        for backend in ("python", "numpy", "native", "verify")
+        for backend in BACKEND_MODES
     }
     digests.add(_options_fingerprint(base))
     assert len(digests) == 1
@@ -420,18 +421,37 @@ def test_backend_excluded_from_campaign_fingerprint():
     assert _options_fingerprint(changed) not in digests
 
 
-@requires_numpy
 def test_campaign_resumes_across_backends(tmp_path):
-    """A campaign checkpointed under the Python backend resumes -- job
-    for job, nothing re-run -- when re-issued on the numpy backend."""
-    systems = {"fig4": fig4_system()}
-    python_jobs = campaign_matrix(systems, ["bbc"])
-    cold = run_campaign(systems, python_jobs, checkpoint_dir=str(tmp_path))
-    assert len(cold.executed) == 1
+    """A campaign whose stored options name the retired ``"numpy"``
+    backend -- a fabric manifest's evaluator preset written before the
+    backend was removed -- decodes to ``"python"`` and resumes its
+    checkpoints job for job, nothing re-run."""
+    systems = {"fig4": fig4_system(), "fig3": fig3_system()}
+    cold = run_campaign(
+        systems,
+        campaign_matrix(systems, ["bbc"]),
+        checkpoint_dir=str(tmp_path),
+    )
+    assert len(cold.executed) == 2
 
-    numpy_jobs = campaign_matrix(systems, ["bbc"], bus=_numpy_bus())
-    resumed = run_campaign(systems, numpy_jobs, checkpoint_dir=str(tmp_path))
-    assert len(resumed.resumed) == 1 and not resumed.executed
+    stored = bus_options_to_dict(BusOptimisationOptions())
+    stored["analysis"]["backend"] = "numpy"
+    bus = bus_options_from_dict(stored)
+    assert bus.analysis.backend == "python"
+    assert analysis_options_from_dict({"backend": "numpy"}) == (
+        AnalysisOptions()
+    )
+    resumed = run_campaign(
+        systems,
+        campaign_matrix(systems, ["bbc"], bus=bus),
+        checkpoint_dir=str(tmp_path),
+    )
+    assert sorted(resumed.resumed) == sorted(cold.executed)
+    assert not resumed.executed
+    for job_id, result in cold.results.items():
+        assert result_to_dict(resumed.results[job_id]) == result_to_dict(
+            result
+        )
     assert (
         result_to_dict(resumed.results["fig4__bbc"])
         == result_to_dict(cold.results["fig4__bbc"])
@@ -467,9 +487,7 @@ def test_campaign_resumes_across_backends_including_native(tmp_path):
 # ----------------------------------------------------------------------
 def _dyn_only_smoke_system() -> System:
     """A 3-node, DYN-only application: the whole length sweep shares one
-    schedule key, so the array backend runs it as a single lockstep
-    group -- the shape the benchmarks pin at >=2x (see
-    ``benchmarks/results/BENCH_incremental_analysis.json``)."""
+    schedule key, so the native backend runs it as a single group."""
     def chain(prefix, length, period):
         tasks, msgs = [], []
         for i in range(length):
@@ -505,48 +523,15 @@ def _dyn_only_smoke_system() -> System:
     return System(("N1", "N2", "N3"), Application("smoke", graphs))
 
 
-@requires_numpy
-@pytest.mark.perf_smoke
-def test_numpy_backend_smoke_identical_and_not_slower():
-    """<10s tier-1 smoke of the batched array sweep: bit identity on a
-    96-point DYN-only sweep, and the numpy batch comfortably beats the
-    warm Python loop.  The floor here is deliberately loose (1.2x on a
-    shape the bench pins at >=2x) -- wall-clock asserts on shared
-    machines must not flake; the real perf claim lives in
-    ``BENCH_incremental_analysis.json``."""
-    system = _dyn_only_smoke_system()
-    assert not tuple(system.application.st_messages())
-    configs = _sweep_configs(
-        system, 96, BusOptimisationOptions(ee_max_dyn_points=96)
-    )
-
-    python_ctx = AnalysisContext(system)
-    t0 = time.perf_counter()
-    python_results = python_ctx.analyse_batch(configs)
-    python_s = time.perf_counter() - t0
-
-    numpy_ctx = AnalysisContext(system, AnalysisOptions(backend="numpy"))
-    t0 = time.perf_counter()
-    numpy_results = numpy_ctx.analyse_batch(configs)
-    numpy_s = time.perf_counter() - t0
-
-    assert _result_docs(numpy_results) == _result_docs(python_results)
-    assert numpy_s < 10.0
-    assert python_s / numpy_s >= 1.2, (
-        f"array backend smoke ratio {python_s / numpy_s:.2f}x "
-        f"(python {python_s:.3f}s vs numpy {numpy_s:.3f}s)"
-    )
-
-
 @requires_native
 @pytest.mark.native
 @pytest.mark.perf_smoke
 def test_native_backend_smoke_identical_and_not_slower():
-    """<10s tier-1 smoke of the compiled sweep: bit identity on the
-    same 96-point DYN-only sweep, same deliberately loose speed floor
-    as the numpy smoke (the real claims -- >=2x over warm Python on
-    ST-heavy sweeps, >= numpy on pure-DYN -- live in
-    ``BENCH_incremental_analysis.json``)."""
+    """<10s tier-1 smoke of the compiled sweep: bit identity on a
+    96-point DYN-only sweep, and the native batch beats the warm Python
+    loop.  The floor here is deliberately loose (1.2x) -- wall-clock
+    asserts on shared machines must not flake; the real claims live in
+    ``BENCH_incremental_analysis.json``."""
     system = _dyn_only_smoke_system()
     configs = _sweep_configs(
         system, 96, BusOptimisationOptions(ee_max_dyn_points=96)

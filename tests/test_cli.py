@@ -69,6 +69,16 @@ class TestAnalyse:
         assert main(["analyse", system_path, bad]) == 1
         assert "INFEASIBLE" in capsys.readouterr().out
 
+    def test_retired_numpy_backend_is_rejected(
+        self, system_path, config_path, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyse", system_path, config_path, "--backend", "numpy"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'numpy'" in err
+        assert "'python', 'native', 'verify'" in err
+
 
 class TestOptimise:
     def test_bbc(self, system_path, capsys):

@@ -15,6 +15,8 @@ Three layers under test:
    asserted to be 0.
 """
 
+import itertools
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -278,33 +280,40 @@ class TestFaultHypothesis:
         assert checked > 100
         assert violations == 0
 
-    def test_numpy_backend_computes_faults_natively(self, caplog):
-        """fault_hypothesis no longer forces the python path on numpy.
+    def test_backends_compute_faults_natively(self, caplog):
+        """fault_hypothesis never forces the python path on a backend.
 
-        The array kernels charge the static ``k * gd_cycle`` slips and
-        the constant per-error DYN cycles inside the lowered plans, so
-        a fault batch runs vectorized (no fallback log) and stays
-        bit-identical to the python oracle.
+        The compiled kernels charge the static ``k * gd_cycle`` slips and
+        the constant per-error DYN cycles inside the lowered plans, so a
+        fault batch runs on every registered backend this interpreter
+        can run (no fallback log) and stays bit-identical to the python
+        oracle.
         """
-        pytest.importorskip("numpy")
         import logging
+
+        from repro.analysis.backend import BACKEND_REGISTRY
+        from repro.analysis.context import AnalysisContext
 
         system = fig4_system()
         config = basic_config(frame_ids=FIG4_FRAME_IDS)
-        for k in (0, 1, 2):
-            options = AnalysisOptions(backend="numpy", fault_hypothesis=k)
+        backends = [
+            name
+            for name, spec in BACKEND_REGISTRY.items()
+            if spec["available"]()
+        ]
+        for backend, k in itertools.product(backends, (0, 1, 2)):
+            options = AnalysisOptions(backend=backend, fault_hypothesis=k)
             with caplog.at_level(
                 logging.INFO, logger="repro.analysis.context"
             ):
-                from repro.analysis.context import AnalysisContext
-
                 context = AnalysisContext(system, options)
-                via_numpy = context.analyse_batch([config])[0]
+                via_backend = context.analyse_batch([config])[0]
             python = analyse_system(
                 system, config, AnalysisOptions(fault_hypothesis=k)
             )
-            assert via_numpy.wcrt == python.wcrt
-            assert via_numpy.schedulable == python.schedulable
+            assert via_backend.wcrt == python.wcrt, (backend, k)
+            assert via_backend.schedulable == python.schedulable
+            assert context.backend_divergences == 0
             assert not any(
                 "falling back" in record.message for record in caplog.records
             )
