@@ -131,28 +131,55 @@ def mean(values: Iterable):
     return sum(values) / len(values) if values else float("nan")
 
 
-def node_classes(rows: List[dict]) -> List[int]:
-    return sorted({r["n_nodes"] for r in rows})
-
-
 def quality_lines(rows: List[dict], title: str) -> List[str]:
     """The Fig. 9 left panel: % cost deviation vs SA + schedulable count."""
     lines = [
         title,
         f"{'nodes':>5} | " + " | ".join(f"{a:>20}" for a in ALGORITHMS),
     ]
-    for n in node_classes(rows):
-        group = [r for r in rows if r["n_nodes"] == n]
+    for n, group in class_groups(rows):
         row_cells = []
         for a in ALGORITHMS:
             dev = mean([deviation(r, a) for r in group])
             sched = sum(c["schedulable"] for c in cells(group, a))
             row_cells.append(f"{dev:>8.1f}%  {sched}/{len(group)} sched")
         lines.append(f"{n:>5} | " + " | ".join(f"{c:>20}" for c in row_cells))
-    lines.append(
-        "paper shape: BBC degrades with size; OBC/CF within ~0.5% of OBC/EE; "
-        "both within ~5% of SA"
-    )
+    groups = class_groups(rows)
+    at = " at " + "/".join(str(n) for n, _ in groups) + " nodes"
+
+    def devs(a):
+        return [mean([deviation(r, a) for r in group]) for _, group in groups]
+
+    cf_minus_ee = [cf - ee for cf, ee in zip(devs("OBC/CF"), devs("OBC/EE"))]
+    scheduled = [
+        (a, sum(c["schedulable"] for c in cells(rows, a)), len(cells(rows, a)))
+        for a in ALGORITHMS
+    ]
+    lines += [
+        claim(
+            "BBC degrades with size",
+            f"BBC vs SA: {series(devs('BBC'), '+.1f')} %{at}",
+        ),
+        claim(
+            "OBC/CF within ~0.5% of OBC/EE",
+            f"OBC/CF - OBC/EE: {series(cf_minus_ee, '+.1f')} points",
+        ),
+        claim(
+            "OBC/CF and OBC/EE within ~5% of SA",
+            f"OBC/CF vs SA: {series(devs('OBC/CF'), '+.1f')} %",
+        ),
+        claim("", f"OBC/EE vs SA: {series(devs('OBC/EE'), '+.1f')} %"),
+        claim(
+            "BBC stops scheduling above 3 nodes",
+            "schedulable: "
+            + ", ".join(f"{a} {k}/{total}" for a, k, total in scheduled),
+        ),
+    ]
+    if any(k < total for _, k, total in scheduled):
+        lines.append(
+            "note: on an unschedulable system the deviation compares "
+            "deadline-miss totals (Eq. (5) f1), not slack"
+        )
     return lines
 
 
@@ -163,25 +190,64 @@ def runtime_lines(rows: List[dict], title: str) -> List[str]:
         f"{'nodes':>5} | "
         + " | ".join(f"{a + ' s / evals':>20}" for a in ALGORITHMS),
     ]
-    for n in node_classes(rows):
-        group = [r for r in rows if r["n_nodes"] == n]
+    for n, group in class_groups(rows):
         row_cells = []
         for a in ALGORITHMS:
             secs = mean([c["seconds"] for c in cells(group, a)])
             evals = mean([c["evaluations"] for c in cells(group, a)])
             row_cells.append(f"{secs:>9.2f} / {evals:>7.0f}")
         lines.append(f"{n:>5} | " + " | ".join(f"{c:>20}" for c in row_cells))
-    lines.append(
-        "paper shape: BBC almost free; OBC/CF orders of magnitude below OBC/EE"
-    )
+    groups = class_groups(rows)
+    at = " at " + "/".join(str(n) for n, _ in groups) + " nodes"
+
+    def means(a, key):
+        return [mean([c[key] for c in cells(group, a)]) for _, group in groups]
+
+    def ratios(key):
+        pairs = zip(means("OBC/CF", key), means("OBC/EE", key))
+        return [cf / ee for cf, ee in pairs]
+
+    lines += [
+        claim(
+            "BBC almost free",
+            f"BBC: {series(means('BBC', 'seconds'), '.2f')} s{at}",
+        ),
+        claim(
+            "OBC/CF orders of magnitude below OBC/EE",
+            f"OBC/CF / OBC/EE time: {series(ratios('seconds'), '.2f')}",
+        ),
+        claim(
+            "",
+            f"OBC/CF / OBC/EE analyses: {series(ratios('evaluations'), '.2f')}",
+        ),
+    ]
     return lines
+
+
+def class_groups(rows: List[dict]) -> List[tuple]:
+    """(node count, rows of that class) pairs, ascending."""
+    return [
+        (n, [r for r in rows if r["n_nodes"] == n])
+        for n in sorted({r["n_nodes"] for r in rows})
+    ]
+
+
+def series(values: Iterable[float], fmt: str) -> str:
+    """Per-class values joined by " / " (NaN, from empty cells, as n/a)."""
+    return " / ".join(
+        "n/a" if math.isnan(v) else format(v, fmt) for v in values
+    )
+
+
+def claim(paper: str, measured: str) -> str:
+    """A footer line: the paper's claim beside what the rows measured."""
+    return f"{'paper: ' + paper if paper else '':<46} | measured {measured}"
 
 
 def json_payload(rows: List[dict]) -> dict:
     """Machine-readable per-class aggregates for the BENCH_*.json trail."""
     classes = {}
-    for n in node_classes(rows):
-        group = [r for r in rows if r["n_nodes"] == n]
+    for n, group in class_groups(rows):
         per_alg = {}
         for a in ALGORITHMS:
             dev = mean([deviation(r, a) for r in group])

@@ -24,12 +24,14 @@ calling conventions.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.holistic import AnalysisResult
 from repro.core.config import FlexRayConfig
-from repro.core.cost import cost_function
-from repro.core.curvefit import NewtonInterpolator, spread_points
+# Eq. (5).  The scorer inlines it, but the name stays bound here:
+# perfbench/tracer.py patches ``repro.core.dynlen.cost_function``.
+from repro.core.cost import cost_function  # noqa: F401
+from repro.core.curvefit import NewtonTable, spread_points
 from repro.core.runtime import CandidateBatch, Proposals, drive_with_evaluator
 from repro.core.search import (
     BusOptimisationOptions,
@@ -37,6 +39,8 @@ from repro.core.search import (
     better,
     sweep_lengths,
 )
+from repro.errors import AnalysisError
+from repro.model.application import Application
 from repro.model.system import System
 
 
@@ -103,14 +107,32 @@ def curvefit_proposals(
     if hi < lo:
         return None
 
+    names, deadlines = activity_deadlines(system.application)
     exact: Dict[int, AnalysisResult] = {}
-    interpolators: Dict[str, NewtonInterpolator] = {}
+    # One shared-node table interpolates every activity: feasible results
+    # cover all of them and infeasible ones add no node.
+    table = NewtonTable(len(names))
+    # Configurations are frozen, so each length gets one object, shared by
+    # its estimates in every round and by its exact analysis.
+    configs: Dict[int, FlexRayConfig] = {}
+
+    def config_for(n: int) -> FlexRayConfig:
+        config = configs.get(n)
+        if config is None:
+            config = configs[n] = template.with_dyn_length(n)
+        return config
 
     def record_point(n: int, result: AnalysisResult) -> None:
         exact[n] = result
         if result.feasible:
-            for name, r in result.wcrt.items():
-                interpolators.setdefault(name, NewtonInterpolator()).add_point(n, r)
+            try:
+                ys = [result.wcrt[name] for name in names]
+            except KeyError as exc:
+                raise AnalysisError(
+                    f"feasible result at n_minislots={n} has no response "
+                    f"time for {exc.args[0]!r}; cannot interpolate"
+                ) from None
+            table.add_point(n, ys)
 
     # Line 1-5: seed points, analysed exactly.  The seeds are mutually
     # independent, so they go out as one batch: they share the
@@ -123,7 +145,7 @@ def curvefit_proposals(
     # traces diverge.
     seed_lengths = cf_seed_lengths(lo, hi, options)
     seed_results = yield CandidateBatch(
-        tuple(template.with_dyn_length(n) for n in seed_lengths)
+        tuple(config_for(n) for n in seed_lengths)
     )
     for n, result in zip(seed_lengths, seed_results):
         record_point(n, result)
@@ -139,7 +161,7 @@ def curvefit_proposals(
         and len(exact) < options.cf_max_points
     ):
         scored, estimates = _score_candidates(
-            system, template, candidates, exact, interpolators
+            candidates, exact, table, deadlines, config_for
         )
         if estimates:
             # Estimate-only batch: the interpolated points land in the
@@ -158,15 +180,11 @@ def curvefit_proposals(
             n_next = next((n for _, n in scored if n not in exact), None)
             if n_next is None:
                 break
-            results = yield CandidateBatch(
-                (template.with_dyn_length(n_next),)
-            )
+            results = yield CandidateBatch((config_for(n_next),))
             record_point(n_next, results[0])
         else:
             # Lines 13-17: analyse the promising interpolated point.
-            results = yield CandidateBatch(
-                (template.with_dyn_length(n_best),)
-            )
+            results = yield CandidateBatch((config_for(n_best),))
             result = results[0]
             record_point(n_best, result)
             if result.schedulable:
@@ -215,12 +233,24 @@ def _best_exact_cost(exact: Dict[int, AnalysisResult]) -> float:
     return min((r.cost_value for r in exact.values()), default=math.inf)
 
 
+def activity_deadlines(app: Application) -> Tuple[List[str], List[int]]:
+    """Every activity and its deadline, in :func:`cost_function`'s order."""
+    names = [name for g in app.graphs for name in g.topological_order()]
+    return names, [app.deadline_of(name) for name in names]
+
+
+#: Interpolated response times are clamped to [0, WCRT_CAP]: a
+#: high-degree Newton polynomial can oscillate wildly between nodes, and
+#: negative or astronomic response times are noise.
+WCRT_CAP = 10**12
+
+
 def _score_candidates(
-    system: System,
-    template: FlexRayConfig,
     candidates: List[int],
     exact: Dict[int, AnalysisResult],
-    interpolators: Dict[str, NewtonInterpolator],
+    table: NewtonTable,
+    deadlines: List[int],
+    config_for: Callable[[int], FlexRayConfig],
 ) -> Tuple[List[Tuple[float, int]], List[Tuple[FlexRayConfig, float]]]:
     """Cost per candidate length: exact when analysed, else interpolated.
 
@@ -228,30 +258,36 @@ def _score_candidates(
     best-first, plus the interpolated points to record in the search
     trace (in candidate order).  Candidates are skipped while fewer than
     two exact feasible points exist (nothing to interpolate from).
+
+    An interpolated candidate costs one column-wise Horner evaluation of
+    *table* and one fused pass that rounds, clamps and accumulates Eq. (5)
+    against *deadlines* (one per table output, in the same order): the same
+    integers :func:`cost_function` would sum, without building a
+    response-time map.
     """
-    app = system.application
     scored: List[Tuple[float, int]] = []
     estimates: List[Tuple[FlexRayConfig, float]] = []
-    can_interpolate = interpolators and min(
-        len(ip) for ip in interpolators.values()
-    ) >= 2
+    can_interpolate = len(table) >= 2
     for n in candidates:
-        if n in exact:
-            scored.append((exact[n].cost_value, n))
+        result = exact.get(n)
+        if result is not None:
+            scored.append((result.cost_value, n))
             continue
         if not can_interpolate:
             continue
-        # Clamp: a high-degree Newton polynomial can oscillate wildly
-        # between nodes; negative or astronomic response times are noise.
-        wcrt = {
-            name: min(10**12, max(0, round(ip(n))))
-            for name, ip in interpolators.items()
-        }
-        try:
-            cost = cost_function(app, wcrt).value
-        except Exception:  # missing activity: some exact run was infeasible
-            continue
-        estimates.append((template.with_dyn_length(n), cost))
+        f1 = f2 = 0
+        for r, d in zip(table(n), deadlines):
+            r = round(r)
+            if r < 0:
+                r = 0
+            elif r > WCRT_CAP:
+                r = WCRT_CAP
+            diff = r - d
+            f2 += diff
+            if diff > 0:
+                f1 += diff
+        cost = float(f1) if f1 > 0 else float(f2)
+        estimates.append((config_for(n), cost))
         scored.append((cost, n))
     scored.sort(key=lambda pair: (pair[0], pair[1]))
     return scored, estimates

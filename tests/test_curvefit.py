@@ -1,9 +1,29 @@
 """Unit tests for the Newton interpolator and point spreading."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from repro.core.curvefit import NewtonInterpolator, spread_points
+from repro.core.curvefit import NewtonInterpolator, NewtonTable, spread_points
 from repro.errors import AnalysisError
+
+
+def scalar_newton(xs, ys, x):
+    """One output's Newton polynomial at *x*: scalar divided differences
+    and Horner, the float operations every table column must repeat."""
+    nodes, coeffs, diag = [], [], []
+    for xn, yn in zip(xs, ys):
+        new_diag = [float(yn)]
+        for k, prev in enumerate(diag):
+            denom = xn - nodes[len(nodes) - 1 - k]
+            new_diag.append((new_diag[k] - prev) / denom)
+        nodes.append(float(xn))
+        diag = new_diag
+        coeffs.append(new_diag[-1])
+    result = coeffs[-1]
+    for k in range(len(coeffs) - 2, -1, -1):
+        result = result * (x - nodes[k]) + coeffs[k]
+    return result
 
 
 class TestNewtonInterpolator:
@@ -56,6 +76,39 @@ class TestNewtonInterpolator:
         ip = NewtonInterpolator([1, 2], [5, 6])
         assert len(ip) == 2
         assert ip.xs == [1.0, 2.0]
+
+
+class TestNewtonTable:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(0, 400), min_size=1, max_size=24, unique=True),
+        st.integers(1, 6),
+        st.data(),
+    )
+    def test_columns_bit_identical_to_scalar_newton(self, xs, width, data):
+        row = st.lists(st.integers(0, 10**9), min_size=width, max_size=width)
+        ys = [data.draw(row) for _ in xs]
+        table = NewtonTable(width)
+        for x, row in zip(xs, ys):
+            table.add_point(x, row)
+        points = data.draw(st.lists(st.integers(0, 400), min_size=1, max_size=8))
+        for x in points:
+            expected = [
+                scalar_newton(xs, [values[j] for values in ys], x)
+                for j in range(width)
+            ]
+            assert table(x) == expected
+
+    def test_rejects_wrong_width(self):
+        table = NewtonTable(2)
+        with pytest.raises(AnalysisError, match="expected 2 values"):
+            table.add_point(1, [5])
+
+    def test_evaluation_returns_a_fresh_list(self):
+        table = NewtonTable(2)
+        table.add_point(1, [5, 6])
+        table(3).append(7)
+        assert table(3) == [5.0, 6.0]
 
 
 class TestSpreadPoints:

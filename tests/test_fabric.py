@@ -338,9 +338,18 @@ def _spawn_worker(root, worker_id, lease_ttl):
 class TestChaosTakeover:
     def test_sigkill_mid_lease_takeover_matches_oracle(self, tmp_path):
         started = time.monotonic()
+        # Seconds per phase, printed if the wall-clock gate fails.
+        phases = {}
+        last = [started]
+
+        def lap(phase):
+            now = time.monotonic()
+            phases[phase] = now - last[0]
+            last[0] = now
+
         # One fast job (bbc, checkpoints in ~0.4s) and one long job
-        # (sa at 160 iterations, ~1.4s): worker A finishes bbc, is
-        # SIGKILLed mid-sa, and worker B must reap the dead lease.
+        # (sa at 160 iterations, a few seconds): worker A finishes bbc,
+        # is SIGKILLed mid-sa, and worker B must reap the dead lease.
         system = generate_system(
             GeneratorConfig(
                 n_nodes=6, tasks_per_node=24, tasks_per_graph=4, seed=3
@@ -354,6 +363,7 @@ class TestChaosTakeover:
         )
         long_job = "gen6__sa"
         assert [j.job_id for j in spec.jobs] == ["gen6__bbc", long_job]
+        lap("generate and submit")
 
         ttl = 1.2
         journal_a = os.path.join(root, "journal", "A.jsonl")
@@ -377,14 +387,17 @@ class TestChaosTakeover:
                 time.sleep(0.01)
             else:
                 raise AssertionError("worker A never claimed the long job")
+            lap("worker A claims the long job")
             time.sleep(0.2)  # let the sa run get properly underway
             worker_a.kill()
             worker_a.wait(timeout=10)
+            lap("worker A killed")
 
             # Worker B joins after the crash: it must wait out the dead
             # lease's ttl, reap it, and finish the matrix.
             worker_b = _spawn_worker(root, "B", ttl)
             assert worker_b.wait(timeout=30) == 0, worker_b.stdout.read()
+            lap("worker B reaps and exits")
         finally:
             for proc in (worker_a, worker_b):
                 if proc is not None and proc.poll() is None:
@@ -394,7 +407,9 @@ class TestChaosTakeover:
         # The merged report is byte-identical (modulo wall-clock
         # fields) to the sequential single-worker oracle.
         merged = fabric_collect(root)
+        lap("fabric_collect")
         oracle = _oracle(spec)
+        lap("sequential oracle")
         assert _result_docs(merged) == _result_docs(oracle)
         assert merged.executed == oracle.executed
         assert merged.failures == {} and oracle.failures == {}
@@ -413,4 +428,8 @@ class TestChaosTakeover:
         assert [(e["job"], e["dead_owner"]) for e in takeovers] == [
             (long_job, "A")
         ]
-        assert time.monotonic() - started < 10.0
+        lap("checks")
+        elapsed = time.monotonic() - started
+        assert elapsed < 10.0, f"took {elapsed:.2f}s: " + ", ".join(
+            f"{phase} {seconds:.2f}s" for phase, seconds in phases.items()
+        )
